@@ -304,14 +304,17 @@ impl<C: Automaton> Automaton for Composition<C> {
     }
 
     fn step(&self, s: &Self::State, a: &Self::Action) -> Option<Self::State> {
-        // The controller (if any) must be enabled; every participant steps.
-        let mut next = s.clone();
+        // The controller (if any) must be enabled; every participant
+        // steps, and every other component keeps its state.
+        let mut next = Vec::with_capacity(s.len());
         let mut participated = false;
-        for (ci, c) in self.components.iter().enumerate() {
-            if c.classify(a).is_some() {
-                next[ci] = c.step(&s[ci], a)?;
+        for (c, cs) in self.components.iter().zip(s) {
+            next.push(if c.classify(a).is_some() {
                 participated = true;
-            }
+                c.step(cs, a)?
+            } else {
+                cs.clone()
+            });
         }
         participated.then_some(next)
     }
@@ -477,6 +480,39 @@ mod tests {
         let s1 = c.step(&s0, &Act::Msg).unwrap();
         let s2 = c.step(&s1, &Act::Msg).unwrap();
         assert_eq!(c.step(&s2, &Act::Msg), None, "sender budget exhausted");
+    }
+
+    #[test]
+    fn step_equals_stepping_each_participant_in_turn() {
+        let c = comp();
+        for sent in 0..=3 {
+            for got in 0..=2 {
+                for ticks in 0..=2 {
+                    let s = vec![St::Sender { sent }, St::Sink { got, ticks }];
+                    for a in [Act::Msg, Act::Tick] {
+                        // Reference: copy the state, then overwrite each
+                        // participant's piece with its own step.
+                        let mut next = Some(s.clone());
+                        for (ci, part) in c.components().iter().enumerate() {
+                            if part.classify(&a).is_some() {
+                                next = next.and_then(|mut n| {
+                                    n[ci] = part.step(&s[ci], &a)?;
+                                    Some(n)
+                                });
+                            }
+                        }
+                        let step = c.step(&s, &a);
+                        assert_eq!(step, next, "{a:?} from {s:?}");
+                        // A disabled controller (sender or sink) means None.
+                        let enabled = match a {
+                            Act::Msg => sent < 2,
+                            Act::Tick => ticks < got,
+                        };
+                        assert_eq!(step.is_some(), enabled, "{a:?} from {s:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

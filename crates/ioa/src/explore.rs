@@ -7,10 +7,196 @@
 //! state spaces of protocol components (channels, detectors, small
 //! process automata) are often finite or finitely explorable, and an
 //! exhaustive sweep catches corner cases randomized runs miss.
+//!
+//! # State store
+//!
+//! [`StateStore`] keeps each explored state exactly once, in a `Vec` in
+//! discovery order, so a state's id is its index. Breadth-first search
+//! assigns ids in visiting order, so a cursor over that `Vec` is the
+//! FIFO frontier and no queue holds copies. Lookup goes through an
+//! index from a 64-bit state hash to the newest id with that hash, and
+//! a per-id chain links to the older ids sharing it.
+//!
+//! The store is exact: a hash match is only a candidate, and membership
+//! is decided by full `==` against every state on the chain. Two
+//! distinct states with equal hashes both get stored; nothing is
+//! dropped on a collision (no hash compaction, no bitstate). The hash
+//! is a deterministic Fx-style multiply-rotate function. It is not a
+//! security boundary: states are generated by the automaton under
+//! check, not supplied by an adversary, so crafted collisions are not a
+//! threat, and a collision costs time, never correctness.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::automaton::{Automaton, TaskId};
+
+/// Multiplier of the Fx hash (as in `rustc-hash`): odd, with its set
+/// bits spread over the word.
+const FX_K: u64 = 0xf135_7aea_2e62_a9c5;
+
+/// Fx-style hasher: fold each word in with a rotate, xor and multiply.
+/// Deterministic across runs and cheap on the many small integer writes
+/// a derived `Hash` makes.
+#[derive(Default, Clone, Copy)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_K);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply moves entropy up; the rotate brings it back to
+        // the low bits a hash table indexes by.
+        self.hash.rotate_left(26)
+    }
+}
+
+type FxBuild = BuildHasherDefault<FxHasher>;
+
+/// End of a collision chain.
+const NONE: usize = usize::MAX;
+
+/// A set of states in discovery order with dense ids `0..len()`,
+/// holding each state once (see the module docs for the layout).
+#[derive(Debug)]
+pub struct StateStore<S> {
+    states: Vec<S>,
+    /// State hash → newest id with that hash.
+    heads: HashMap<u64, usize, FxBuild>,
+    /// Per id: the next older id with the same hash, or [`NONE`].
+    chain: Vec<usize>,
+}
+
+/// A miss in a [`StateStore`]: carries the probed state's hash so
+/// [`StateStore::insert`] need not compute it again. Not `Copy`: one
+/// miss admits one insert.
+#[derive(Debug)]
+pub struct Vacant(u64);
+
+impl<S> Default for StateStore<S> {
+    fn default() -> Self {
+        StateStore {
+            states: Vec::new(),
+            heads: HashMap::default(),
+            chain: Vec::new(),
+        }
+    }
+}
+
+impl<S: Eq + Hash> StateStore<S> {
+    /// An empty store.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of stored states.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// True iff no state is stored.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    /// The state with id `id`.
+    ///
+    /// # Panics
+    /// Panics if `id >= len()`.
+    #[must_use]
+    pub fn get(&self, id: usize) -> &S {
+        &self.states[id]
+    }
+
+    /// The id of `s` if stored, else the [`Vacant`] to insert it with
+    /// (as `slice::binary_search` returns the insertion point).
+    ///
+    /// # Errors
+    /// `Err` is the miss, not a failure.
+    pub fn find(&self, s: &S) -> Result<usize, Vacant> {
+        let mut h = FxHasher::default();
+        s.hash(&mut h);
+        let hash = h.finish();
+        let mut id = self.heads.get(&hash).copied().unwrap_or(NONE);
+        while id != NONE {
+            if self.states[id] == *s {
+                return Ok(id);
+            }
+            id = self.chain[id];
+        }
+        Err(Vacant(hash))
+    }
+
+    /// Store `s`, for which [`find`](Self::find) returned `slot`, and
+    /// return its id. `s` must still be absent: storing one state twice
+    /// would break the one-copy, one-id guarantee.
+    pub fn insert(&mut self, slot: Vacant, s: S) -> usize {
+        debug_assert!(self.find(&s).is_err_and(|v| v.0 == slot.0));
+        let id = self.states.len();
+        self.chain
+            .push(self.heads.insert(slot.0, id).unwrap_or(NONE));
+        self.states.push(s);
+        id
+    }
+
+    /// Store `s` unless present; its id and whether it was new.
+    pub fn intern(&mut self, s: S) -> (usize, bool) {
+        match self.find(&s) {
+            Ok(id) => (id, false),
+            Err(slot) => (self.insert(slot, s), true),
+        }
+    }
+}
 
 /// A counterexample: the action path from the initial state to a
 /// violating state, plus the violating state itself.
@@ -75,31 +261,33 @@ where
             state: s0,
         });
     }
-    let mut seen: HashMap<M::State, usize> = HashMap::new();
+    let mut store = StateStore::new();
+    store.intern(s0);
     let mut parents: Vec<Option<(usize, M::Action)>> = vec![None];
-    let mut states: Vec<M::State> = vec![s0.clone()];
-    seen.insert(s0, 0);
-    let mut queue = VecDeque::from([0usize]);
+    let mut successors: Vec<(M::Action, M::State)> = Vec::new();
     let mut complete = true;
-    while let Some(id) = queue.pop_front() {
-        let cur = states[id].clone();
-        let mut successors: Vec<(M::Action, M::State)> = Vec::new();
+    // Ids are assigned in BFS order, so the store is the queue.
+    for id in 0.. {
+        if id == store.len() {
+            break;
+        }
+        let cur = store.get(id);
         for t in 0..m.task_count() {
-            if let Some(a) = m.enabled(&cur, TaskId(t)) {
-                if let Some(next) = m.step(&cur, &a) {
+            if let Some(a) = m.enabled(cur, TaskId(t)) {
+                if let Some(next) = m.step(cur, &a) {
                     successors.push((a, next));
                 }
             }
         }
         for a in inputs {
-            if let Some(next) = m.step(&cur, a) {
+            if let Some(next) = m.step(cur, a) {
                 successors.push((a.clone(), next));
             }
         }
-        for (a, next) in successors {
-            if seen.contains_key(&next) {
+        for (a, next) in successors.drain(..) {
+            let Err(slot) = store.find(&next) else {
                 continue;
-            }
+            };
             if !invariant(&next) {
                 // Reconstruct the path.
                 let mut path = vec![a];
@@ -111,19 +299,16 @@ where
                 path.reverse();
                 return SweepOutcome::Violated(CounterExample { path, state: next });
             }
-            if states.len() >= max_states {
+            if store.len() >= max_states {
                 complete = false;
                 continue;
             }
-            let nid = states.len();
-            seen.insert(next.clone(), nid);
-            states.push(next);
-            parents.push(Some((id, a.clone())));
-            queue.push_back(nid);
+            store.insert(slot, next);
+            parents.push(Some((id, a)));
         }
     }
     SweepOutcome::Holds {
-        states: states.len(),
+        states: store.len(),
         complete,
     }
 }
@@ -144,6 +329,7 @@ where
 mod tests {
     use super::*;
     use crate::automaton::ActionClass;
+    use std::hash::{Hash, Hasher};
 
     /// A bounded counter with a reset input.
     #[derive(Debug, Clone)]
@@ -233,6 +419,61 @@ mod tests {
         assert!(complete);
     }
 
+    /// A queue automaton mirroring the FIFO channel (so `ioa` stays
+    /// dependency-free), bounded at three messages.
+    #[derive(Debug, Clone)]
+    struct Queue;
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    enum QA {
+        Send(u8),
+        Recv(u8),
+    }
+
+    impl Automaton for Queue {
+        type Action = QA;
+        type State = Vec<u8>;
+        fn name(&self) -> String {
+            "queue".into()
+        }
+        fn initial_state(&self) -> Vec<u8> {
+            vec![]
+        }
+        fn classify(&self, a: &QA) -> Option<ActionClass> {
+            match a {
+                QA::Send(_) => Some(ActionClass::Input),
+                QA::Recv(_) => Some(ActionClass::Output),
+            }
+        }
+        fn task_count(&self) -> usize {
+            1
+        }
+        fn enabled(&self, s: &Vec<u8>, _t: TaskId) -> Option<QA> {
+            s.first().map(|&m| QA::Recv(m))
+        }
+        fn step(&self, s: &Vec<u8>, a: &QA) -> Option<Vec<u8>> {
+            match a {
+                QA::Send(m) => {
+                    if s.len() >= 3 {
+                        return None; // bound the sweep
+                    }
+                    let mut n = s.clone();
+                    n.push(*m);
+                    Some(n)
+                }
+                QA::Recv(m) => {
+                    if s.first() == Some(m) {
+                        Some(s[1..].to_vec())
+                    } else {
+                        None
+                    }
+                }
+            }
+        }
+    }
+
+    const SENDS: [QA; 2] = [QA::Send(1), QA::Send(2)];
+
     #[test]
     fn channel_fifo_invariant_exhaustively() {
         // A real component: the FIFO channel over a tiny message
@@ -241,62 +482,7 @@ mod tests {
         // to: queue length ≤ number of explored sends (trivially) and
         // every state is reachable without panic.
         // (The channel state space is infinite; bound it.)
-        use afd_core_like::*;
-        mod afd_core_like {
-            // Minimal stand-in so `ioa` stays dependency-free: a queue
-            // automaton mirroring the channel.
-            use super::super::super::automaton::{ActionClass, Automaton, TaskId};
-            #[derive(Debug, Clone)]
-            pub struct Queue;
-            #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-            pub enum QA {
-                Send(u8),
-                Recv(u8),
-            }
-            impl Automaton for Queue {
-                type Action = QA;
-                type State = Vec<u8>;
-                fn name(&self) -> String {
-                    "queue".into()
-                }
-                fn initial_state(&self) -> Vec<u8> {
-                    vec![]
-                }
-                fn classify(&self, a: &QA) -> Option<ActionClass> {
-                    match a {
-                        QA::Send(_) => Some(ActionClass::Input),
-                        QA::Recv(_) => Some(ActionClass::Output),
-                    }
-                }
-                fn task_count(&self) -> usize {
-                    1
-                }
-                fn enabled(&self, s: &Vec<u8>, _t: TaskId) -> Option<QA> {
-                    s.first().map(|&m| QA::Recv(m))
-                }
-                fn step(&self, s: &Vec<u8>, a: &QA) -> Option<Vec<u8>> {
-                    match a {
-                        QA::Send(m) => {
-                            if s.len() >= 3 {
-                                return None; // bound the sweep
-                            }
-                            let mut n = s.clone();
-                            n.push(*m);
-                            Some(n)
-                        }
-                        QA::Recv(m) => {
-                            if s.first() == Some(m) {
-                                Some(s[1..].to_vec())
-                            } else {
-                                None
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let m = Queue;
-        let out = check_invariant(&m, &[QA::Send(1), QA::Send(2)], 10_000, |s| s.len() <= 3);
+        let out = check_invariant(&Queue, &SENDS, 10_000, |s| s.len() <= 3);
         assert!(out.holds());
         match out {
             SweepOutcome::Holds { states, complete } => {
@@ -306,5 +492,82 @@ mod tests {
             }
             SweepOutcome::Violated(_) => panic!(),
         }
+    }
+
+    /// A state whose hash ignores its contents, so every state of a
+    /// sweep lands on one collision chain.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Collide<S>(S);
+
+    impl<S> Hash for Collide<S> {
+        fn hash<H: Hasher>(&self, _: &mut H) {}
+    }
+
+    /// `M` with its states wrapped in [`Collide`].
+    struct Colliding<M>(M);
+
+    impl<M: Automaton> Automaton for Colliding<M> {
+        type Action = M::Action;
+        type State = Collide<M::State>;
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn initial_state(&self) -> Self::State {
+            Collide(self.0.initial_state())
+        }
+        fn classify(&self, a: &M::Action) -> Option<ActionClass> {
+            self.0.classify(a)
+        }
+        fn task_count(&self) -> usize {
+            self.0.task_count()
+        }
+        fn enabled(&self, s: &Self::State, t: TaskId) -> Option<M::Action> {
+            self.0.enabled(&s.0, t)
+        }
+        fn step(&self, s: &Self::State, a: &M::Action) -> Option<Self::State> {
+            self.0.step(&s.0, a).map(Collide)
+        }
+    }
+
+    #[test]
+    fn colliding_hashes_keep_the_sweep_exact() {
+        let m = Colliding(Queue);
+        assert_eq!(reachable_states(&m, &SENDS, 10_000), (15, true));
+        // Same shortest counterexample as the normally hashed sweep;
+        // [1, 2] and [2, 1] both violate at depth 2, and BFS order
+        // picks [1, 2].
+        let bad = |s: &Vec<u8>| s.len() >= 2 && s.contains(&2);
+        let plain = check_invariant(&Queue, &SENDS, 10_000, |s| !bad(s));
+        let collide = check_invariant(&m, &SENDS, 10_000, |s| !bad(&s.0));
+        let plain = plain.counterexample().unwrap();
+        let collide = collide.counterexample().unwrap();
+        assert_eq!(collide.path, plain.path);
+        assert_eq!(collide.path, vec![QA::Send(1), QA::Send(2)]);
+        assert_eq!(collide.state.0, plain.state);
+    }
+
+    #[test]
+    fn budget_cut_stores_exactly_max_states() {
+        for max in 1..15 {
+            let out = check_invariant(&Queue, &SENDS, max, |_| true);
+            assert!(
+                matches!(out, SweepOutcome::Holds { states, complete: false } if states == max),
+                "budget {max}: {out:?}"
+            );
+        }
+        assert_eq!(reachable_states(&Queue, &SENDS, 15), (15, true));
+    }
+
+    #[test]
+    fn store_interns_each_state_once() {
+        let mut store = StateStore::new();
+        assert!(store.is_empty());
+        assert_eq!(store.intern(Collide(7u8)), (0, true));
+        assert_eq!(store.intern(Collide(9)), (1, true));
+        assert_eq!(store.intern(Collide(7)), (0, false));
+        assert_eq!(store.find(&Collide(9)).ok(), Some(1));
+        let slot = store.find(&Collide(3)).unwrap_err();
+        assert_eq!(store.insert(slot, Collide(3)), 2);
+        assert_eq!((store.len(), store.get(2)), (3, &Collide(3)));
     }
 }

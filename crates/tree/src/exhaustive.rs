@@ -15,12 +15,11 @@
 //! deduplicated by (config, FD-position), which is exactly the paper's
 //! observation (Lemma 33) that equal tags imply equal subtrees.
 
-use std::collections::HashMap;
-
 use afd_core::Action;
 use afd_system::LocalBehavior;
+use ioa::StateStore;
 
-use crate::explorer::{Node, TaggedTree, TreeLabel};
+use crate::explorer::{TaggedTree, TreeLabel};
 use crate::fdseq::FdPos;
 
 /// One explored node with its discovery metadata.
@@ -80,49 +79,52 @@ pub fn explore<B: LocalBehavior>(
     max_nodes: usize,
     max_depth: usize,
 ) -> Exploration {
-    let mut index: HashMap<Node<B>, usize> = HashMap::new();
-    let mut nodes: Vec<ExploredNode> = Vec::new();
-    let mut queue: std::collections::VecDeque<Node<B>> = std::collections::VecDeque::new();
+    let mut store = StateStore::new();
     let root = tree.root();
-    index.insert(root.clone(), 0);
-    nodes.push(ExploredNode {
+    let mut nodes = vec![ExploredNode {
         pos: root.pos,
         depth: 0,
         path: Vec::new(),
-    });
-    queue.push_back(root);
+    }];
+    store.intern(root);
+    let labels = tree.labels();
+    let mut children = Vec::with_capacity(labels.len());
     let mut bottom_edges = 0;
     let mut live_edges = 0;
     let mut complete = true;
-    while let Some(node) = queue.pop_front() {
-        let meta = nodes[index[&node]].clone();
-        if meta.depth >= max_depth {
+    // Ids are assigned in BFS order, so the store is the queue.
+    for id in 0.. {
+        if id == store.len() {
+            break;
+        }
+        let depth = nodes[id].depth;
+        if depth >= max_depth {
             complete = false;
             continue;
         }
-        for label in tree.labels() {
-            let (tag, child) = tree.child(&node, label);
-            match tag {
-                None => bottom_edges += 1,
-                Some(a) => {
-                    live_edges += 1;
-                    if !index.contains_key(&child) {
-                        if nodes.len() >= max_nodes {
-                            complete = false;
-                            continue;
-                        }
-                        let mut path = meta.path.clone();
-                        path.push((label, a));
-                        index.insert(child.clone(), nodes.len());
-                        nodes.push(ExploredNode {
-                            pos: child.pos,
-                            depth: meta.depth + 1,
-                            path,
-                        });
-                        queue.push_back(child);
-                    }
-                }
+        let node = store.get(id);
+        children.extend(labels.iter().map(|&label| (label, tree.child(node, label))));
+        for (label, (tag, child)) in children.drain(..) {
+            let Some(a) = tag else {
+                bottom_edges += 1;
+                continue;
+            };
+            live_edges += 1;
+            let Err(slot) = store.find(&child) else {
+                continue;
+            };
+            if nodes.len() >= max_nodes {
+                complete = false;
+                continue;
             }
+            let mut path = nodes[id].path.clone();
+            path.push((label, a));
+            nodes.push(ExploredNode {
+                pos: child.pos,
+                depth: depth + 1,
+                path,
+            });
+            store.insert(slot, child);
         }
     }
     Exploration {

@@ -55,6 +55,7 @@ fn paxos_agreement_exhaustive_n2() {
                 states > 50,
                 "the sweep actually explored the protocol: {states}"
             );
+            assert_eq!(states, 96, "exact reachable-state count");
             println!("paxos n=2 exhaustive: {states} states, agreement holds everywhere");
         }
         SweepOutcome::Violated(cex) => {
@@ -150,6 +151,7 @@ fn urb_safety_exhaustive_n2_with_crash_interleavings() {
         SweepOutcome::Holds { states, complete } => {
             assert!(complete, "URB space must be finite here ({states} states)");
             assert!(states > 20);
+            assert_eq!(states, 28, "exact reachable-state count");
             println!("urb n=2 exhaustive (with crash interleavings): {states} states");
         }
         SweepOutcome::Violated(cex) => panic!("URB safety violated after {:?}", cex.path),
@@ -174,6 +176,7 @@ fn state_space_grows_with_universe_size() {
     let (n3, c3) = reachable_states(&sys3.composition, &[], 400_000);
     assert!(c3, "3-process URB with one payload still fits: {n3}");
     assert!(n3 > n2, "more locations, more interleavings ({n2} vs {n3})");
+    assert_eq!((n2, n3), (14, 502), "exact reachable-state counts");
 }
 
 #[test]
