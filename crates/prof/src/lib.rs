@@ -163,10 +163,15 @@ pub enum GaugeKind {
     CommitBatch = 2,
     /// Ready components queued on one executor shard at pop time.
     ReadyQueueDepth = 3,
+    /// Nanoseconds from arming a pacing timer (fd/wire pacing, link
+    /// delay) to the run clock firing it. A gauge, not a stage span:
+    /// the engine does not sleep through pacing, so the wait is no
+    /// thread's busy time and stays out of span coverage.
+    PacingDelay = 4,
 }
 
 /// Number of distinct [`GaugeKind`]s.
-pub const GAUGE_COUNT: usize = 4;
+pub const GAUGE_COUNT: usize = 5;
 
 impl GaugeKind {
     /// All gauges, in discriminant order.
@@ -175,6 +180,7 @@ impl GaugeKind {
         GaugeKind::ChannelBacklog,
         GaugeKind::CommitBatch,
         GaugeKind::ReadyQueueDepth,
+        GaugeKind::PacingDelay,
     ];
 
     /// Stable, human-readable gauge name.
@@ -185,6 +191,7 @@ impl GaugeKind {
             GaugeKind::ChannelBacklog => "channel-backlog",
             GaugeKind::CommitBatch => "commit-batch",
             GaugeKind::ReadyQueueDepth => "ready-queue-depth",
+            GaugeKind::PacingDelay => "pacing-delay",
         }
     }
 

@@ -103,7 +103,7 @@ impl LinkProfile {
         self
     }
 
-    /// True iff this profile never sleeps.
+    /// True iff this profile never delays a delivery.
     #[must_use]
     pub fn is_zero(&self) -> bool {
         self.delay.is_zero() && self.jitter.is_zero()
@@ -157,7 +157,7 @@ impl LinkFaults {
             .unwrap_or(self.default)
     }
 
-    /// True iff no channel ever sleeps.
+    /// True iff no channel ever delays a delivery.
     #[must_use]
     pub fn is_zero(&self) -> bool {
         self.default.is_zero() && self.overrides.values().all(LinkProfile::is_zero)
@@ -273,7 +273,8 @@ pub struct RuntimeConfig {
     /// ([`crate::StopReason::Idle`]) once the commit count is stable
     /// across two consecutive ticks with every input queue drained and
     /// every worker parked — sequence-number-based quiescence, not a
-    /// fixed sleep.
+    /// fixed sleep. A run that stops on its predicate or budget does
+    /// not wait for the next tick.
     pub watchdog_tick: Duration,
     /// Stall deadline: if the run is *not* quiescent but nothing
     /// commits for this long, the watchdog stops it with

@@ -34,7 +34,8 @@
 //!   model: the automaton survives, silenced) or [`CrashMode::Kill`]
 //!   (the component is retired, dropping its queued inputs);
 //! - an adversarial link layer ([`LinkFaults`]) delays channel
-//!   deliveries (per-channel fixed delay plus seeded jitter) and, when
+//!   deliveries (per-channel fixed delay plus seeded jitter, timed on
+//!   the run clock) and, when
 //!   a profile is chaotic, drops, duplicates, and reorders them from a
 //!   deterministic per-channel decision stream ([`chaos::ChannelChaos`]
 //!   — a pure function of the run seed, exportable via
@@ -47,8 +48,11 @@
 //! - shutdown is structural quiescence detection (commit count stable,
 //!   inboxes drained, components parked) instead of a timing
 //!   heuristic, and the engine contains no timed polls: pool workers
-//!   park on per-shard condvars and the crash injector blocks on a
-//!   sink length-watch ([`EventSink::wait_len_at_least`]);
+//!   park on per-shard condvars, the crash injector blocks on a sink
+//!   length-watch ([`EventSink::wait_len_at_least`]), and the monitor
+//!   blocks on the sink's run clock (`EventSink::wait_clock`), which
+//!   every stop signals and on which paced components arm their
+//!   deadlines instead of sleeping on a worker;
 //! - a watchdog stops stalled runs with [`StopReason::Watchdog`] and a
 //!   [`RunDiagnostic`] dump instead of hanging forever (e.g. under an
 //!   eternal partition);

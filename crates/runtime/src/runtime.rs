@@ -11,7 +11,8 @@
 //! pull ready components from per-shard queues and park on a condvar
 //! when the system is quiet — there are no timed polls anywhere in the
 //! engine (the crash injector blocks on a sink length-watch, see
-//! [`EventSink::wait_len_at_least`]).
+//! [`EventSink::wait_len_at_least`], and the monitor on the sink's run
+//! clock, see `EventSink::wait_clock`).
 //!
 //! **Activation model.** Each component owns an inbox (routed inputs)
 //! and a body (automaton state plus per-channel adversary state). An
@@ -42,10 +43,29 @@
 //! traffic crossing the cut; a cut channel with pending traffic goes
 //! idle without voting for quiescence and registers in a deferred
 //! registry keyed by the partition's heal step, so the first commit at
-//! or past that step (or the next watchdog tick) re-arms it — healing
-//! resumes delivery in FIFO order per channel with no cut-poll loop.
+//! or past that step re-arms it (the registrant re-checks the log
+//! length after registering, so a heal crossed mid-registration is not
+//! lost) — healing resumes delivery in FIFO order per channel with no
+//! cut-poll loop.
 //!
-//! **Shutdown.** Quiescence is detected structurally, not by a timing
+//! **Pacing.** FD pacing, wire pacing and link delay/jitter are
+//! deadlines, not sleeps: the activation that first finds a paced
+//! action enabled stamps a ready time one interval ahead and arms a
+//! timer on the run clock (`EventSink::arm_timer`), then hands its
+//! worker back to the pool. The monitor re-enqueues the component when
+//! the timer fires, and that activation commits one paced action — the
+//! first enabled at or after a round-robin cursor over the component's
+//! tasks. So a paced action commits no earlier than one interval after
+//! it was found enabled, each component makes at most one paced commit
+//! per interval, and paced tasks take turns. A component waiting on a
+//! timer does not vote for quiescence. The wait is deliberate workload
+//! pacing, not engine cost: it shows in no stage span, and each fired
+//! timer's armed→fired time is recorded as the `pacing-delay` gauge.
+//!
+//! **Shutdown.** A stop — predicate, budget, or a contained panic —
+//! signals the run clock the monitor waits on, so the run returns as
+//! soon as its workers exit. The watchdog tick serves only the checks
+//! below. Quiescence is detected structurally, not by a timing
 //! heuristic: the run is idle when the commit count is stable across
 //! two watchdog ticks, every live inbox is drained, and every live
 //! component is parked. A run that is *not* quiescent but commits
@@ -61,16 +81,16 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use afd_core::{Action, Loc};
 use afd_system::{Component, ComponentKind, RunStats, System};
 use ioa::{ActionClass, Automaton, TaskId};
 
-use crate::chaos::{ChannelChaos, ChannelChaosStats, ChaosReport};
+use crate::chaos::{ChannelChaos, ChannelChaosStats, ChaosDecision, ChaosReport};
 use crate::config::{ConfigError, CrashMode, LinkProfile, RuntimeConfig};
 use crate::exec::{Directive, Pool};
 use crate::rng::SplitMix64;
@@ -182,8 +202,8 @@ struct Telemetry {
     /// Routed-but-unapplied inputs per component (exact: stored under
     /// the component's inbox lock by whoever changes the queue).
     backlog: Vec<AtomicUsize>,
-    /// Component's last activation found nothing enabled (quiescence
-    /// vote).
+    /// Component's last activation found nothing enabled and left no
+    /// paced action waiting on a run timer (quiescence vote).
     parked: Vec<AtomicBool>,
     /// Component is permanently finished (its backlog no longer
     /// counts).
@@ -259,6 +279,56 @@ struct ChaosState {
     held: VecDeque<(Action, u64, bool)>,
     arrivals: u64,
     stats: ChannelChaosStats,
+    /// The decision already drawn for the head arrival while its link
+    /// delay runs on the run clock (drawn once per arrival, however
+    /// many activations the delay spans).
+    pending: Option<ChaosDecision>,
+}
+
+/// Per-component pacing clock. A paced action — an FD output, a
+/// `WireSend`, a delayed channel delivery — commits no earlier than
+/// one pacing interval after the activation that first found it
+/// enabled: that activation stamps `ready_at` and arms a run timer,
+/// and the component goes back to the pool instead of sleeping on a
+/// worker. At most one paced commit happens per interval; `next_task`
+/// is the round-robin cursor that gives every paced task its turn.
+#[derive(Default)]
+struct Pace {
+    ready_at: Option<Instant>,
+    next_task: usize,
+}
+
+impl Pace {
+    /// May the paced action this activation found commit now? The
+    /// first ask starts the interval (`interval` is drawn once per
+    /// interval, so a jitter stream advances once per paced commit)
+    /// and arms the run timer for component `idx`; a due ask consumes
+    /// the deadline.
+    fn due(&mut self, sink: &EventSink, idx: usize, interval: impl FnOnce() -> Duration) -> bool {
+        let now = Instant::now();
+        match self.ready_at {
+            Some(at) if now >= at => {
+                self.ready_at = None;
+                true
+            }
+            Some(_) => false,
+            None => {
+                let at = now + interval();
+                if at <= now {
+                    return true;
+                }
+                self.ready_at = Some(at);
+                sink.arm_timer(at, idx);
+                false
+            }
+        }
+    }
+
+    /// Is a paced action waiting on its timer? Such a component has
+    /// pending work and must not vote for quiescence.
+    fn waiting(&self) -> bool {
+        self.ready_at.is_some()
+    }
 }
 
 /// The mutable half of a component. The pool guarantees one activation
@@ -268,6 +338,7 @@ struct Body<S> {
     state: S,
     rng: SplitMix64,
     chaos: Option<ChaosState>,
+    pace: Pace,
 }
 
 struct Cell<P: Automaton<Action = Action>> {
@@ -277,8 +348,9 @@ struct Cell<P: Automaton<Action = Action>> {
 
 /// Cut channels waiting for a scripted partition to heal: `(heal
 /// step, component)`. Re-armed by the first commit whose resulting
-/// length reaches the heal step — with the watchdog tick as a safety
-/// net for the register/commit race — instead of polling the cut.
+/// length reaches the heal step instead of polling the cut. A heal
+/// crossed while a channel registers is caught by the registrant's
+/// own re-check (see [`Engine::defer`]), so no timed backstop exists.
 struct Deferred {
     entries: Mutex<Vec<(usize, u32)>>,
     /// Smallest registered heal step (`usize::MAX` when empty): the
@@ -307,13 +379,12 @@ impl Deferred {
         } else {
             g.push((threshold, comp as u32));
         }
-        let cur = self.min.load(Ordering::Relaxed);
-        self.min.store(cur.min(threshold), Ordering::Relaxed);
+        self.min.fetch_min(threshold, Ordering::SeqCst);
     }
 
     /// Re-arm every entry whose heal step has been reached.
     fn drain(&self, len: usize, pool: &Pool) {
-        if self.min.load(Ordering::Relaxed) > len {
+        if self.min.load(Ordering::SeqCst) > len {
             return;
         }
         let mut g = lock(&self.entries);
@@ -328,7 +399,7 @@ impl Deferred {
                 i += 1;
             }
         }
-        self.min.store(new_min, Ordering::Relaxed);
+        self.min.store(new_min, Ordering::SeqCst);
     }
 }
 
@@ -422,6 +493,7 @@ where
                         held: VecDeque::new(),
                         arrivals: 0,
                         stats: ChannelChaosStats::default(),
+                        pending: None,
                     })
                 }
                 _ => None,
@@ -435,6 +507,7 @@ where
                     state: comp.initial_state(),
                     rng: SplitMix64::new(seed),
                     chaos,
+                    pace: Pace::default(),
                 }),
             });
             profiles.push(profile);
@@ -518,9 +591,23 @@ where
     }
 
     /// Re-arm any cut channel whose heal step the log has reached.
-    /// Cheap (one relaxed load) when nothing is registered.
+    /// Cheap (a fence and one load) when nothing is registered. The
+    /// fence orders the caller's commit (the sink's length store)
+    /// before the registry read, pairing with the one in
+    /// [`Engine::defer`].
     fn drain_deferred(&self) {
+        fence(Ordering::SeqCst);
         self.deferred.drain(self.sink.len(), &self.pool);
+    }
+
+    /// Park cut channel `idx` until the log reaches `threshold`, then
+    /// re-check the length: either a concurrent committer's drain sees
+    /// the registration, or this re-check sees its commit (the fences
+    /// here and in [`Engine::drain_deferred`] forbid both missing), so
+    /// a heal crossed mid-registration is never lost.
+    fn defer(&self, threshold: usize, idx: usize) {
+        self.deferred.register(threshold, idx);
+        self.drain_deferred();
     }
 }
 
@@ -569,9 +656,9 @@ where
     let comp = &eng.comps[idx];
     let cell = &eng.cells[idx];
     // One tiled `step` span covers the whole activation — body/inbox
-    // locks, input drain, enabled scans, chain speculation — handed
-    // off (never nested) around the pacing/commit/route regions, which
-    // carry their own stages. Tiling instead of point spans is what
+    // locks, input drain, enabled scans, chain speculation — paused
+    // (never nested) around the commit/route regions, which carry
+    // their own stages. Tiling instead of point spans is what
     // lets Table W's coverage gate account for the activation loop's
     // bookkeeping.
     let mut tile = afd_prof::span(afd_prof::Stage::Step);
@@ -582,7 +669,12 @@ where
         std::mem::swap(&mut inbox.q, &mut scratch.drain);
         eng.tel.backlog[idx].store(0, Ordering::SeqCst);
     }
-    let Body { state, rng, chaos } = &mut *body;
+    let Body {
+        state,
+        rng,
+        chaos,
+        pace,
+    } = &mut *body;
     // Apply routed inputs (inputs are always enabled; a `None` step
     // would be a signature bug, tolerated as a no-op).
     for a in scratch.drain.drain(..) {
@@ -592,9 +684,10 @@ where
     }
     if let Some(ch) = chaos {
         tile.done();
-        return activate_chaos(eng, idx, comp, state, ch);
+        return activate_chaos(eng, idx, comp, state, ch, pace);
     }
-    // Sweep local tasks.
+    // Sweep local tasks. Paced actions are skipped here and take their
+    // round-robin turn after the sweep, one per pacing interval.
     let profile = eng.profiles[idx];
     let needs_pacing = |a: &Action| match kind {
         ComponentKind::Fd => !cfg.fd_pacing.is_zero(),
@@ -604,8 +697,10 @@ where
         }
         _ => false,
     };
+    let tasks = comp.task_count();
     let mut progressed = false;
-    for t in 0..comp.task_count() {
+    let mut paced_enabled = false;
+    for t in 0..tasks {
         if sink.is_stopped() {
             eng.pool.shutdown();
             return Directive::Done;
@@ -613,28 +708,9 @@ where
         let Some(a) = comp.enabled(state, TaskId(t)) else {
             continue;
         };
-        // Pacing and link faults happen before the commit, so the
-        // linearization point itself stays instantaneous.
         if needs_pacing(&a) {
-            match kind {
-                ComponentKind::Fd => {
-                    tile = tile.handoff(afd_prof::Stage::Pacing);
-                    thread::sleep(cfg.fd_pacing);
-                }
-                ComponentKind::Channel(_, _) => {
-                    tile = tile.handoff(afd_prof::Stage::Pacing);
-                    let jitter_ns =
-                        rng.below(u64::try_from(profile.jitter.as_nanos()).unwrap_or(u64::MAX));
-                    thread::sleep(profile.delay + Duration::from_nanos(jitter_ns));
-                }
-                // Throttle stubborn retransmission (WireSend) so it
-                // cannot flood the event budget.
-                _ => {
-                    tile = tile.handoff(afd_prof::Stage::Retransmit);
-                    thread::sleep(cfg.wire_pacing);
-                }
-            }
-            tile = tile.handoff(afd_prof::Stage::Step);
+            paced_enabled = true;
+            continue;
         }
         // Speculate a chain of locally-controlled actions from this
         // task: each is enabled in the state its predecessors produce,
@@ -644,11 +720,7 @@ where
         // accepted prefix — the sink can cut a batch short at the
         // budget — is applied and routed in order; the rest of the
         // speculation is discarded.
-        let cap = if needs_pacing(&a) {
-            1
-        } else {
-            cfg.commit_batch.max(1)
-        };
+        let cap = cfg.commit_batch.max(1);
         scratch.chain.clear();
         scratch.states.clear();
         scratch.chain.push(a);
@@ -673,37 +745,101 @@ where
         // (commit-wait/lock-hold inside the sink, route below); the
         // tile pauses so spans never nest.
         tile.done();
-        let (n, status) = sink.try_commit_batch(&scratch.chain);
-        if n > 0 {
-            scratch.states.truncate(n);
-            if let Some(s) = scratch.states.pop() {
-                *state = s;
-            }
-            for &committed in &scratch.chain[..n] {
-                eng.route(idx, committed);
-            }
-            progressed = true;
-        }
+        let (n, status) = commit_chain(eng, idx, state, scratch);
+        progressed |= n > 0;
         tile = afd_prof::span(afd_prof::Stage::Step);
-        match status {
-            Commit::Accepted => {}
-            // Our location is dead but the Crash input hasn't reached
-            // us yet: skip — the routed Crash will re-enqueue this
-            // component and its step disables the task.
-            Commit::Suppressed => {}
-            Commit::Stopped => {
+        if status == Commit::Stopped {
+            eng.pool.shutdown();
+            return Directive::Done;
+        }
+    }
+    if !paced_enabled {
+        // Nothing paced is pending, so no interval is running: the
+        // next paced action starts a fresh one.
+        pace.ready_at = None;
+    } else if pace.due(sink, idx, || match kind {
+        ComponentKind::Fd => cfg.fd_pacing,
+        ComponentKind::Channel(_, _) => {
+            let jitter_ns = rng.below(u64::try_from(profile.jitter.as_nanos()).unwrap_or(u64::MAX));
+            profile.delay + Duration::from_nanos(jitter_ns)
+        }
+        // Throttle stubborn retransmission (WireSend) so it cannot
+        // flood the event budget.
+        _ => cfg.wire_pacing,
+    }) {
+        // The interval has run: commit one paced action, the first
+        // enabled at or after the round-robin cursor.
+        let turn = (0..tasks)
+            .map(|i| (pace.next_task + i) % tasks)
+            .find_map(|t| {
+                comp.enabled(state, TaskId(t))
+                    .filter(|a| needs_pacing(a))
+                    .map(|a| (t, a))
+            });
+        if let Some((t, a)) = turn {
+            pace.next_task = t + 1;
+            scratch.chain.clear();
+            scratch.states.clear();
+            scratch.chain.push(a);
+            scratch.states.extend(comp.step(state, &a));
+            tile.done();
+            let (n, status) = commit_chain(eng, idx, state, scratch);
+            progressed |= n > 0;
+            tile = afd_prof::span(afd_prof::Stage::Step);
+            if status == Commit::Stopped {
                 eng.pool.shutdown();
                 return Directive::Done;
             }
         }
     }
+    let directive = settle(eng, idx, progressed, pace);
+    tile.done();
+    directive
+}
+
+/// Commit the speculated `scratch.chain` (post-states in
+/// `scratch.states`), then apply and route the accepted prefix.
+/// Returns the sink's `(accepted, status)`. `Suppressed` needs no
+/// handling by the caller: our location is dead but the `Crash` input
+/// hasn't reached us yet, and the routed `Crash` will re-enqueue this
+/// component, whose step disables the task.
+fn commit_chain<P>(
+    eng: &Engine<'_, P>,
+    idx: usize,
+    state: &mut CState<P>,
+    scratch: &mut Scratch<CState<P>>,
+) -> (usize, Commit)
+where
+    P: Automaton<Action = Action>,
+{
+    let (n, status) = eng.sink.try_commit_batch(&scratch.chain);
+    if n > 0 {
+        scratch.states.truncate(n);
+        if let Some(s) = scratch.states.pop() {
+            *state = s;
+        }
+        for &committed in &scratch.chain[..n] {
+            eng.route(idx, committed);
+        }
+    }
+    (n, status)
+}
+
+/// The directive closing an activation. Progress requeues (and may
+/// have reached a partition's heal step); otherwise the component
+/// goes idle, voting for quiescence only when no paced action waits on
+/// its run timer — the monitor re-enqueues it when the timer fires.
+fn settle<P>(eng: &Engine<'_, P>, idx: usize, progressed: bool, pace: &Pace) -> Directive
+where
+    P: Automaton<Action = Action>,
+{
     if progressed {
         eng.drain_deferred();
         Directive::Again
     } else {
-        // Nothing enabled and nothing arrived: this component votes
-        // for quiescence until an input re-enqueues it.
-        eng.tel.park(idx);
+        if !pace.waiting() {
+            eng.tel.park(idx);
+        }
         Directive::Idle
     }
 }
@@ -717,6 +853,7 @@ fn activate_chaos<P>(
     comp: &Component<P>,
     state: &mut CState<P>,
     ch: &mut ChaosState,
+    pace: &mut Pace,
 ) -> Directive
 where
     P: Automaton<Action = Action>,
@@ -726,7 +863,10 @@ where
         unreachable!("chaos state only attaches to channel components")
     };
     let profile = eng.profiles[idx];
-    let cut = eng.cfg.is_cut(from, to, sink.len());
+    // One length read decides the cut and its heal step, so a cut
+    // channel always registers a heal step past that length.
+    let len = sink.len();
+    let cut = eng.cfg.is_cut(from, to, len);
     let mut progressed = false;
     if !cut {
         // Release matured holds (never across an active cut). The
@@ -762,21 +902,25 @@ where
         // is re-armed by the deferred registry once the heal step is
         // reached (an eternal cut registers nothing and the watchdog
         // eventually fires).
-        eng.deferred
-            .register(heal_threshold(eng.cfg, from, to, sink.len()), idx);
+        eng.defer(heal_threshold(eng.cfg, from, to, len), idx);
         return Directive::Idle;
     }
     if let Some(a) = head {
-        let decision_span = afd_prof::span(afd_prof::Stage::ChaosDecision);
-        let d = ch.chaos.next();
-        decision_span.done();
-        ch.arrivals += 1;
-        ch.stats.arrivals += 1;
-        afd_prof::gauge_sampled(
-            afd_prof::GaugeKind::ChannelBacklog,
-            (eng.tel.backlog[idx].load(Ordering::SeqCst) + ch.held.len()) as u64,
-            64,
-        );
+        let d = if let Some(d) = ch.pending.take() {
+            d
+        } else {
+            let decision_span = afd_prof::span(afd_prof::Stage::ChaosDecision);
+            let d = ch.chaos.next();
+            decision_span.done();
+            ch.arrivals += 1;
+            ch.stats.arrivals += 1;
+            afd_prof::gauge_sampled(
+                afd_prof::GaugeKind::ChannelBacklog,
+                (eng.tel.backlog[idx].load(Ordering::SeqCst) + ch.held.len()) as u64,
+                64,
+            );
+            d
+        };
         if d.drop {
             // Consume without committing: the message vanishes.
             if let Some(next) = comp.step(state, &a) {
@@ -793,14 +937,18 @@ where
                 .push_back((a, ch.arrivals + u64::from(d.hold), d.dup));
             ch.stats.held += 1;
             progressed = true;
-        } else {
-            if !profile.is_zero() {
-                let _p = afd_prof::span(afd_prof::Stage::Pacing);
+        } else if !profile.is_zero()
+            && !pace.due(sink, idx, || {
                 let jitter_ns = ch
                     .jrng
                     .below(u64::try_from(profile.jitter.as_nanos()).unwrap_or(u64::MAX));
-                thread::sleep(profile.delay + Duration::from_nanos(jitter_ns));
-            }
+                profile.delay + Duration::from_nanos(jitter_ns)
+            })
+        {
+            // The link delay runs on the run clock; keep this head's
+            // decision for the activation its timer triggers.
+            ch.pending = Some(d);
+        } else {
             match sink.try_commit(a) {
                 Commit::Accepted => {
                     if let Some(next) = comp.step(state, &a) {
@@ -826,13 +974,7 @@ where
         ch.arrivals += 1;
         progressed = true;
     }
-    if progressed {
-        eng.drain_deferred();
-        Directive::Again
-    } else {
-        eng.tel.park(idx);
-        Directive::Idle
-    }
+    settle(eng, idx, progressed, pace)
 }
 
 /// Contain a panic that escaped an activation of `idx`: the component
@@ -911,10 +1053,15 @@ where
     }
 }
 
-/// The watchdog monitor: declares quiescence (commit count stable
-/// across two ticks, all inboxes drained, all components parked),
-/// stops stalls at the deadline with a diagnostic, enforces the
-/// wall-clock safety net, and backstops deferred partition heals.
+/// The watchdog monitor and run clock. It blocks on the sink's clock
+/// (`EventSink::wait_clock`) until the next watchdog tick, the
+/// earliest armed pacing timer, or a stop — so a run that stops on its
+/// predicate or budget ends as soon as its workers exit, not at the
+/// next tick. A fired timer re-enqueues its component (and its
+/// armed→fired time goes to the `pacing-delay` gauge). Each tick
+/// declares quiescence (commit count stable across two ticks, all
+/// inboxes drained, all components parked), stops stalls at the
+/// deadline with a diagnostic, and enforces the wall-clock safety net.
 /// Always shuts the pool down on the way out.
 fn monitor<P>(eng: &Engine<'_, P>)
 where
@@ -922,20 +1069,31 @@ where
 {
     let sink = eng.sink;
     let cfg = eng.cfg;
+    afd_prof::set_lane("monitor");
     let deadline_ns = u64::try_from(cfg.watchdog_deadline.as_nanos()).unwrap_or(u64::MAX);
     let mut prev_len = usize::MAX;
     let mut stable_ticks = 0u32;
+    let mut next_tick = Instant::now() + cfg.watchdog_tick;
+    let mut fired = Vec::new();
     while !sink.is_stopped() {
-        thread::sleep(cfg.watchdog_tick);
+        sink.wait_clock(next_tick, &mut fired);
+        for (idx, armed) in fired.drain(..) {
+            afd_prof::gauge(
+                afd_prof::GaugeKind::PacingDelay,
+                u64::try_from(armed.as_nanos()).unwrap_or(u64::MAX),
+            );
+            eng.pool.enqueue(idx);
+        }
+        let now = Instant::now();
+        if sink.is_stopped() || now < next_tick {
+            continue;
+        }
+        next_tick = now + cfg.watchdog_tick;
         if sink.elapsed() >= cfg.wall_timeout {
             sink.stop(StopReason::WallClock);
             break;
         }
         let len = sink.len();
-        // Safety net for the register/commit race on deferred heals:
-        // a heal crossed concurrently with registration is re-armed
-        // here, at most one tick late.
-        eng.drain_deferred();
         if len == prev_len {
             stable_ticks += 1;
         } else {
@@ -955,6 +1113,7 @@ where
             break;
         }
     }
+    afd_prof::flush_local();
     eng.pool.shutdown();
 }
 
@@ -1153,5 +1312,101 @@ where
     match try_run_threaded(sys, cfg) {
         Ok(out) => out,
         Err(e) => panic!("invalid RuntimeConfig: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use afd_core::automata::FdGen;
+    use afd_core::Pi;
+    use afd_system::{Env, LocalBehavior, ProcessAutomaton, SystemBuilder};
+
+    /// Processes that only listen to their failure-detector module.
+    #[derive(Debug, Clone)]
+    struct Listen;
+
+    impl LocalBehavior for Listen {
+        type State = ();
+        fn proto_name(&self) -> String {
+            "listen".into()
+        }
+        fn init(&self, _i: Loc) {}
+        fn is_input(&self, i: Loc, a: &Action) -> bool {
+            matches!(a, Action::Fd { at, .. } if *at == i)
+        }
+        fn is_output(&self, _i: Loc, _a: &Action) -> bool {
+            false
+        }
+        fn on_input(&self, _i: Loc, _s: &mut (), _a: &Action) {}
+        fn output(&self, _i: Loc, _s: &()) -> Option<Action> {
+            None
+        }
+        fn on_output(&self, _i: Loc, _s: &mut (), _a: &Action) {}
+    }
+
+    /// Ω over listening processes: every event is an FD output.
+    fn fd_system(pi: Pi) -> System<ProcessAutomaton<Listen>> {
+        let procs = pi
+            .iter()
+            .map(|i| ProcessAutomaton::new(i, Listen))
+            .collect();
+        SystemBuilder::new(pi, procs)
+            .with_fd(FdGen::omega(pi))
+            .with_env(Env::None)
+            .build()
+    }
+
+    #[test]
+    fn predicate_stop_returns_before_the_watchdog_tick() {
+        let cfg = RuntimeConfig::default()
+            .with_watchdog(Duration::from_secs(5), Duration::from_secs(30))
+            .with_wall_timeout(Duration::from_secs(60))
+            .stop_when_stream(|| {
+                let mut seen = 0;
+                Box::new(move |_: &Action| {
+                    seen += 1;
+                    seen >= 5
+                })
+            });
+        let t0 = Instant::now();
+        let out = run_threaded(&fd_system(Pi::new(3)), &cfg);
+        assert_eq!(out.stop, StopReason::Predicate);
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "returned after {:?}, not on the stop",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn fd_pacing_spaces_commits_and_takes_turns() {
+        let pi = Pi::new(3);
+        let pacing = Duration::from_millis(2);
+        let rec = Arc::new(afd_obs::TraceRecorder::new());
+        let cfg = RuntimeConfig::default()
+            .with_fd_pacing(pacing)
+            .with_max_events(30)
+            .with_observer(rec.clone());
+        let out = run_threaded(&fd_system(pi), &cfg);
+        assert_eq!(out.stop, StopReason::MaxEvents);
+        let trace = rec.snapshot();
+        assert_eq!(trace.len(), 30);
+        assert!(trace.iter().all(|ev| ev.action.is_fd_output()));
+        let pacing_ns = u64::try_from(pacing.as_nanos()).unwrap();
+        for w in trace.windows(2) {
+            let gap = w[1].wall_ns.unwrap() - w[0].wall_ns.unwrap();
+            assert!(gap >= pacing_ns, "FD commits {gap} ns apart");
+        }
+        // Round robin: every location gets its turn in order.
+        let mut counts = vec![0usize; pi.len()];
+        for ev in &trace {
+            counts[ev.action.loc().index()] += 1;
+        }
+        let (lo, hi) = (counts.iter().min(), counts.iter().max());
+        assert!(
+            hi.unwrap() - lo.unwrap() <= 1,
+            "per-location FD outputs {counts:?}"
+        );
     }
 }

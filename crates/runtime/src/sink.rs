@@ -43,10 +43,19 @@
 //! [`crate::config::CommitPipeline::LockedReference`], which is the
 //! pre-pipeline sink (dispatch and predicate under the log lock),
 //! kept as an executable reference for the benches.
+//!
+//! **The run clock.** The sink also carries the run's one timed wait:
+//! a min-heap of deadline timers armed by paced components, guarded by
+//! the mutex of the condvar the runtime's monitor blocks on
+//! (`EventSink::wait_clock`). Every stop — predicate, budget, or an
+//! explicit [`EventSink::stop`] — signals that condvar, so a run ends
+//! the moment it stops instead of at the monitor's next watchdog tick.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use afd_core::{Action, Loc, Stamped};
 use afd_obs::Observer;
@@ -149,6 +158,20 @@ struct LenWatch {
     cv: Condvar,
 }
 
+/// The run clock: one-shot deadline timers (`(deadline, armed at,
+/// token)`, earliest first) under the mutex its condvar waits with.
+/// Keeping the heap under the waiter's own lock is what makes the wait
+/// race-free: an arm or a stop cannot slip between the waiter reading
+/// the earliest deadline and blocking.
+struct Clock {
+    timers: Mutex<BinaryHeap<Reverse<(Instant, Instant, u32)>>>,
+    cv: Condvar,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Construction options for [`EventSink::with_options`] — the full
 /// configuration surface ([`EventSink::new`] /
 /// [`EventSink::with_observer`] are shorthands).
@@ -211,6 +234,7 @@ pub struct EventSink {
     has_stream_pred: bool,
     legacy: bool,
     watch: LenWatch,
+    clock: Clock,
 }
 
 impl EventSink {
@@ -282,6 +306,10 @@ impl EventSink {
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
             },
+            clock: Clock {
+                timers: Mutex::new(BinaryHeap::new()),
+                cv: Condvar::new(),
+            },
         }
     }
 
@@ -340,6 +368,7 @@ impl EventSink {
         }
         let mut accepted = 0usize;
         let mut status = Commit::Accepted;
+        let mut hit_budget = false;
         {
             // Uncontended fast path: no commit-wait span (there was no
             // wait), and only the lock-hold probe's single clock read
@@ -390,6 +419,7 @@ impl EventSink {
                 if g.log.len() >= self.max_events {
                     g.stop = Some(StopReason::MaxEvents);
                     self.stopped.store(true, Ordering::Release);
+                    hit_budget = true;
                 }
             }
             if accepted > 0 {
@@ -398,6 +428,9 @@ impl EventSink {
             }
             drop(g);
             hold.done();
+        }
+        if hit_budget {
+            self.wake_waiters();
         }
         if accepted > 0 {
             self.notify_len_watch();
@@ -455,6 +488,8 @@ impl EventSink {
         if k >= self.max_events {
             g.stop = Some(StopReason::MaxEvents);
             self.stopped.store(true, Ordering::Release);
+            drop(g);
+            self.wake_waiters();
         } else {
             let mut fire = false;
             if self.has_stream_pred {
@@ -477,6 +512,8 @@ impl EventSink {
             if fire {
                 g.stop = Some(StopReason::Predicate);
                 self.stopped.store(true, Ordering::Release);
+                drop(g);
+                self.wake_waiters();
             }
         }
         Commit::Accepted
@@ -576,15 +613,63 @@ impl EventSink {
             }
             self.stopped.store(true, Ordering::Release);
         }
-        // Unconditional wake: a length waiter whose threshold will
-        // never be reached must still observe the stop.
-        drop(
-            self.watch
-                .lock
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
+        self.wake_waiters();
+    }
+
+    /// Wake every blocked waiter after the stop flag is set: a length
+    /// waiter whose threshold will never be reached, and the run-clock
+    /// waiter, must both observe the stop. Taking each mutex before
+    /// notifying closes the check-then-wait window (waiters test the
+    /// flag under that mutex).
+    fn wake_waiters(&self) {
+        drop(lock(&self.watch.lock));
         self.watch.cv.notify_all();
+        drop(lock(&self.clock.timers));
+        self.clock.cv.notify_all();
+    }
+
+    /// Arm a one-shot run timer: the run-clock waiter
+    /// (`EventSink::wait_clock`) reports `token` once `at` has
+    /// passed. The waiter is signaled only when `at` becomes the
+    /// earliest deadline — a later one is already covered by its
+    /// timeout.
+    pub(crate) fn arm_timer(&self, at: Instant, token: usize) {
+        let armed = Instant::now();
+        let mut heap = lock(&self.clock.timers);
+        let earliest = heap.peek().is_none_or(|Reverse(t)| at < t.0);
+        heap.push(Reverse((at, armed, token as u32)));
+        drop(heap);
+        if earliest {
+            self.clock.cv.notify_all();
+        }
+    }
+
+    /// Block until the run stops, `until` passes, or an armed timer is
+    /// due — no fixed sleep: the wait ends on whichever comes first.
+    /// Every due timer is popped into `fired` as `(token, time from
+    /// arming to firing)`.
+    pub(crate) fn wait_clock(&self, until: Instant, fired: &mut Vec<(usize, Duration)>) {
+        let mut heap = lock(&self.clock.timers);
+        loop {
+            let now = Instant::now();
+            while let Some(&Reverse((at, armed, token))) = heap.peek() {
+                if at > now {
+                    break;
+                }
+                heap.pop();
+                fired.push((token as usize, now.saturating_duration_since(armed)));
+            }
+            if !fired.is_empty() || self.is_stopped() || now >= until {
+                return;
+            }
+            let wake = heap.peek().map_or(until, |Reverse(t)| t.0.min(until));
+            heap = self
+                .clock
+                .cv
+                .wait_timeout(heap, wake - now)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
+        }
     }
 
     /// Signal the length watch if the log has crossed the registered
@@ -1057,6 +1142,77 @@ mod tests {
             sink.wait_len_at_least(1_000_000);
             assert!(sink.is_stopped());
         });
+    }
+
+    #[test]
+    fn clock_waiter_wakes_on_stop() {
+        let sink = EventSink::new(100, 16, None);
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(2));
+                sink.stop(StopReason::Predicate);
+            });
+            let mut fired = Vec::new();
+            sink.wait_clock(t0 + Duration::from_secs(30), &mut fired);
+            assert!(sink.is_stopped());
+            assert!(fired.is_empty());
+        });
+        assert!(t0.elapsed() < Duration::from_secs(5), "woke on stop");
+    }
+
+    #[test]
+    fn clock_waiter_wakes_on_budget_stop() {
+        let sink = EventSink::new(3, 16, None);
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(2));
+                assert_eq!(
+                    sink.try_commit_batch(&[send01(), send01(), send01()]),
+                    (3, Commit::Accepted)
+                );
+            });
+            sink.wait_clock(t0 + Duration::from_secs(30), &mut Vec::new());
+            assert!(sink.is_stopped());
+        });
+        assert!(t0.elapsed() < Duration::from_secs(5), "woke on the budget");
+    }
+
+    #[test]
+    fn timers_fire_in_deadline_order_and_never_early() {
+        let sink = EventSink::new(100, 16, None);
+        let t0 = Instant::now();
+        for (ms, token) in [(3, 2), (1, 0), (2, 1)] {
+            sink.arm_timer(t0 + Duration::from_millis(ms), token);
+        }
+        let arm_skew = t0.elapsed();
+        let mut fired = Vec::new();
+        while fired.len() < 3 {
+            sink.wait_clock(t0 + Duration::from_secs(30), &mut fired);
+        }
+        assert!(t0.elapsed() >= Duration::from_millis(3));
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        let tokens: Vec<usize> = fired.iter().map(|f| f.0).collect();
+        assert_eq!(tokens, vec![0, 1, 2]);
+        assert!(
+            fired[2].1 + arm_skew >= Duration::from_millis(3),
+            "armed→fired time covers the interval"
+        );
+        // An earlier deadline armed mid-wait wakes the waiter.
+        let t1 = Instant::now();
+        sink.arm_timer(t1 + Duration::from_secs(60), 7);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(2));
+                sink.arm_timer(Instant::now() + Duration::from_millis(1), 5);
+            });
+            let mut fired = Vec::new();
+            sink.wait_clock(t1 + Duration::from_secs(60), &mut fired);
+            assert_eq!(fired.len(), 1);
+            assert_eq!(fired[0].0, 5);
+        });
+        assert!(t1.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
